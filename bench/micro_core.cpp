@@ -67,6 +67,15 @@ void BM_EcdsaVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdsaVerify);
 
+void BM_PublicKey(benchmark::State& state) {
+  // Fixed-base k*G; the first call outside the loop builds the table.
+  Rng rng(1);
+  auto sk = crypto::PrivateKey::generate(rng);
+  benchmark::DoNotOptimize(sk.public_key());
+  for (auto _ : state) benchmark::DoNotOptimize(sk.public_key());
+}
+BENCHMARK(BM_PublicKey);
+
 void BM_EventQueueChurn(benchmark::State& state) {
   for (auto _ : state) {
     net::EventQueue q;

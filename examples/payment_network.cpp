@@ -16,9 +16,10 @@
 #include "ng/ng_node.hpp"
 #include "sim/experiment.hpp"
 
-int main() {
-  using namespace bng;
+namespace {
 
+bng::sim::ExperimentConfig payment_config() {
+  using namespace bng;
   sim::ExperimentConfig cfg;
   cfg.params = chain::Params::bitcoin_ng();
   cfg.params.block_interval = 60;
@@ -29,6 +30,15 @@ int main() {
   cfg.pool_size = 4000;  // premine outputs feeding the payments
   cfg.workload_mode = protocol::WorkloadMode::kFullMempool;
   cfg.seed = 7;
+  return cfg;
+}
+
+}  // namespace
+
+int main() {
+  using namespace bng;
+
+  const sim::ExperimentConfig cfg = payment_config();
 
   std::printf("payment network: %u nodes, full mempools, %zu pending payments\n",
               cfg.num_nodes, cfg.pool_size);

@@ -11,9 +11,10 @@
 #include "metrics/metrics.hpp"
 #include "sim/experiment.hpp"
 
-int main() {
-  using namespace bng;
+namespace {
 
+bng::sim::ExperimentConfig quickstart_config() {
+  using namespace bng;
   sim::ExperimentConfig cfg;
   cfg.params = chain::Params::bitcoin_ng();  // key blocks every 100 s
   cfg.params.microblock_interval = 10.0;     // leader cadence (§4.2)
@@ -21,6 +22,15 @@ int main() {
   cfg.num_nodes = 200;
   cfg.target_blocks = 50;                    // run for 50 microblocks (§8)
   cfg.seed = 42;
+  return cfg;
+}
+
+}  // namespace
+
+int main() {
+  using namespace bng;
+
+  const sim::ExperimentConfig cfg = quickstart_config();
 
   std::printf("running Bitcoin-NG: %u nodes, key interval %.0fs, microblock "
               "interval %.0fs...\n",

@@ -3,9 +3,12 @@
 // Curve: y^2 = x^3 + 7 over F_p, p = 2^256 - 2^32 - 977.
 // Group order n = FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFE BAAEDCE6 AF48A03B BFFD25E8 8CD03641 41.
 //
-// Field arithmetic uses the special form of p for fast reduction; scalar
-// (mod n) arithmetic uses generic binary reduction since it is off the hot
-// path. Not constant-time (simulator-grade; see DESIGN.md §6).
+// Both moduli sit just below 2^256, and reduction uses that form: a product
+// hi*2^256 + lo folds to hi*c + lo with c = 2^32 + 977 (mod p) or c =
+// 2^256 - n, 129 bits (mod n). Scalar arithmetic is on the signing hot path
+// (every NG microblock carries a signature, paper §4.2). k*G goes through a
+// fixed-base table built lazily on first use. Not constant-time: this is a
+// protocol simulator, not a wallet.
 #pragma once
 
 #include <optional>
@@ -32,6 +35,7 @@ U256 fe_inv(const U256& a);  // a != 0
 std::optional<U256> fe_sqrt(const U256& a);
 
 // --- Scalar operations (mod n) ---------------------------------------------
+U256 reduce_n(const U512& t);                   // t mod n, any 512-bit t
 U256 sc_reduce(const U256& a);                  // a mod n
 U256 sc_add(const U256& a, const U256& b);
 U256 sc_mul(const U256& a, const U256& b);
@@ -71,10 +75,16 @@ std::optional<AffinePoint> lift_x(const U256& x, bool odd_y);
 
 JacobianPoint point_double(const JacobianPoint& p);
 JacobianPoint point_add(const JacobianPoint& p, const JacobianPoint& q);
+/// p + q with q affine (mixed addition, no Z2 terms).
 JacobianPoint point_add_affine(const JacobianPoint& p, const AffinePoint& q);
 
 /// k * P (double-and-add). k is interpreted mod n.
 JacobianPoint scalar_mul(const U256& k, const AffinePoint& p);
+
+/// k * G from the fixed-base table: at most 64 mixed additions, no
+/// doublings. k is interpreted mod n. The first call builds the table
+/// (about 1 ms, 60 KB; thread-safe).
+JacobianPoint scalar_mul_base(const U256& k);
 
 /// u1*G + u2*P computed with interleaved doubling (Shamir's trick).
 JacobianPoint double_scalar_mul(const U256& u1, const U256& u2, const AffinePoint& p);

@@ -2,7 +2,7 @@
 //
 // Backs the secp256k1 field/scalar implementation and proof-of-work target
 // comparisons. Not constant-time: this library is a protocol simulator, not
-// a wallet; see DESIGN.md §6.
+// a wallet.
 #pragma once
 
 #include <array>
@@ -64,7 +64,9 @@ struct U512 {
   [[nodiscard]] bool bit(int i) const { return (limb[i >> 6] >> (i & 63)) & 1; }
   [[nodiscard]] int bit_length() const;
 
-  /// Remainder of this mod m (binary long division). m must be non-zero.
+  /// Remainder of this mod m (binary long division, one step per bit). m
+  /// must be non-zero. Generic and slow: the curve moduli use the folding
+  /// reductions in secp256k1.cpp; tests use this as their oracle.
   [[nodiscard]] U256 mod(const U256& m) const;
 
   static U512 from_u256(const U256& v) {

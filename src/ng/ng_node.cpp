@@ -16,10 +16,16 @@ constexpr std::size_t kMicroBlockOverhead = 250;
 
 NgNode::NgNode(NodeId id, net::Network& net, chain::BlockPtr genesis,
                protocol::NodeConfig cfg, Rng rng, protocol::IBlockObserver* observer)
-    : BaseNode(id, net, std::move(genesis), std::move(cfg), rng, observer),
-      leader_sk_(crypto::PrivateKey::from_seed(0x6e670000ull + id)),
-      leader_pk_(leader_sk_.public_key()),
-      reward_address_(chain::address_of(leader_pk_)) {}
+    : BaseNode(id, net, std::move(genesis), std::move(cfg), rng, observer) {}
+
+const NgNode::LeaderKeys& NgNode::leader_keys() const {
+  if (!leader_keys_) {
+    const crypto::PrivateKey sk = crypto::PrivateKey::from_seed(0x6e670000ull + id_);
+    const crypto::PublicKey pk = sk.public_key();
+    leader_keys_ = LeaderKeys{sk, pk, chain::address_of(pk)};
+  }
+  return *leader_keys_;
+}
 
 bool NgNode::is_leader() const {
   if (my_latest_key_block_ == kNoBlockId) return false;
@@ -55,11 +61,11 @@ chain::BlockPtr NgNode::build_key_block(std::uint32_t tip, double work) {
     const Hash256 prev_leader = chain::address_of(*prev_epoch.block->header().leader_key);
     coinbase->outputs.push_back(chain::TxOutput{leader_share, prev_leader});
     coinbase->outputs.push_back(
-        chain::TxOutput{cfg_.params.block_subsidy + next_share, reward_address_});
+        chain::TxOutput{cfg_.params.block_subsidy + next_share, reward_address()});
   } else {
     // Genesis epoch (or zero fees): everything to this miner.
     coinbase->outputs.push_back(
-        chain::TxOutput{cfg_.params.block_subsidy + epoch_fees, reward_address_});
+        chain::TxOutput{cfg_.params.block_subsidy + epoch_fees, reward_address()});
   }
 
   std::vector<chain::TxPtr> txs{std::move(coinbase)};
@@ -69,7 +75,7 @@ chain::BlockPtr NgNode::build_key_block(std::uint32_t tip, double work) {
   header.timestamp = now();
   header.merkle_root = chain::compute_merkle_root(txs);
   header.nonce = rng_.next();  // regtest-style: difficulty check skipped
-  header.leader_key = leader_pk_;
+  header.leader_key = leader_pubkey();
   return std::make_shared<chain::Block>(std::move(header), std::move(txs), id_, work);
 }
 
@@ -114,7 +120,7 @@ chain::BlockPtr NgNode::build_microblock(std::uint32_t tip, std::uint64_t salt) 
     const auto& accused_key = tree_.entry(*accused_idx).block->header().leader_key;
     if (!accused_key) continue;  // malformed evidence: not a leader epoch
     const Hash256 accused_leader = chain::address_of(*accused_key);
-    if (accused_leader == reward_address_) continue;  // self
+    if (accused_leader == reward_address()) continue;  // self
     if (chain_has_poison_for(accused_leader, tip) ||
         std::find(placed_now.begin(), placed_now.end(), accused_leader) !=
             placed_now.end()) {
@@ -127,12 +133,12 @@ chain::BlockPtr NgNode::build_microblock(std::uint32_t tip, std::uint64_t salt) 
     const chain::BlockHeader* pruned = select_pruned_header(tree_, tip, evidence);
     bool placed = false;
     if (revocable > 0 && pruned != nullptr) {
-      auto probe = make_poison_tx(evidence.accused_key_block, *pruned, reward_address_, 0);
+      auto probe = make_poison_tx(evidence.accused_key_block, *pruned, reward_address(), 0);
       if (check_poison(tree_, tip, *probe->poison, cfg_.verify_signatures).ok) {
         const auto bounty = static_cast<Amount>(
             cfg_.params.poison_reward_fraction * static_cast<double>(revocable));
         txs.push_back(
-            make_poison_tx(evidence.accused_key_block, *pruned, reward_address_, bounty));
+            make_poison_tx(evidence.accused_key_block, *pruned, reward_address(), bounty));
         placed_now.push_back(accused_leader);
         ++poisons_placed_;
         if (cfg_.trace != nullptr && cfg_.trace->wants(obs::kTraceAdversary))
@@ -162,7 +168,7 @@ chain::BlockPtr NgNode::build_microblock(std::uint32_t tip, std::uint64_t salt) 
 }
 
 void NgNode::sign_header(chain::BlockHeader& header) const {
-  header.signature = crypto::sign(leader_sk_, header.signing_hash());
+  header.signature = crypto::sign(leader_keys().sk, header.signing_hash());
 }
 
 chain::BlockPtr NgNode::forge_microblock(const Hash256& parent_id, std::uint64_t salt) {

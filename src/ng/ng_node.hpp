@@ -7,6 +7,7 @@
 #pragma once
 
 #include <deque>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -25,9 +26,9 @@ class NgNode : public protocol::BaseNode {
   /// The mining scheduler decided this node found the next key block.
   void on_mining_win(double work) override;
 
-  /// Identity used to sign this node's epochs.
-  [[nodiscard]] const crypto::PublicKey& leader_pubkey() const { return leader_pk_; }
-  [[nodiscard]] const Hash256& reward_address() const { return reward_address_; }
+  /// Identity used to sign this node's epochs (derived on first use).
+  [[nodiscard]] const crypto::PublicKey& leader_pubkey() const { return leader_keys().pk; }
+  [[nodiscard]] const Hash256& reward_address() const { return leader_keys().address; }
 
   /// Is this node currently the leader on its own view?
   [[nodiscard]] bool is_leader() const;
@@ -65,9 +66,16 @@ class NgNode : public protocol::BaseNode {
   [[nodiscard]] bool chain_has_poison_for(const Hash256& leader_addr,
                                           std::uint32_t tip) const;
 
-  crypto::PrivateKey leader_sk_;
-  crypto::PublicKey leader_pk_;
-  Hash256 reward_address_;
+  /// The leader key pair and the address its rewards go to. Derived on
+  /// first use and memoized: a public key costs a base-point multiply, and
+  /// most nodes of a large run never mine.
+  struct LeaderKeys {
+    crypto::PrivateKey sk;
+    crypto::PublicKey pk;
+    Hash256 address;
+  };
+  [[nodiscard]] const LeaderKeys& leader_keys() const;
+  mutable std::optional<LeaderKeys> leader_keys_;
   EquivocationDetector detector_;
   std::deque<FraudEvidence> pending_frauds_;
   /// Where poison transactions against each leader address have been seen:

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/telemetry.hpp"
@@ -195,21 +196,27 @@ AdaptiveResult run_adaptive(const Scenario& scenario, const AdaptiveOptions& opt
 
   // Predicate: mean over seed ordinals of the named metric, against the
   // configured threshold. Summed in ordinal order, so adaptive and dense
-  // evaluations of the same point agree bit-for-bit.
+  // evaluations of the same point agree bit-for-bit. The metric is a record
+  // value or, failing that, a field of the record's attacker report (so a
+  // scenario file can refine on relative_gain without an extra hook).
+  const auto metric_of = [&](const RunRecord& rec) -> std::optional<double> {
+    for (const auto& [name, value] : rec.values)
+      if (name == spec.metric) return value;
+    std::optional<double> field;
+    if (rec.attacker)
+      metrics::visit_attacker_fields(*rec.attacker, [&](const char* name, const auto& v) {
+        if (spec.metric == name) field = static_cast<double>(v);
+      });
+    return field;
+  };
   const auto point_mean = [&](std::uint32_t p) {
     double sum = 0;
     for (std::uint32_t o = 0; o < seeds; ++o) {
-      const RunRecord& rec = slots[static_cast<std::size_t>(p) * seeds + o];
-      bool found = false;
-      for (const auto& [name, value] : rec.values)
-        if (name == spec.metric) {
-          sum += value;
-          found = true;
-          break;
-        }
-      if (!found)
+      const auto value = metric_of(slots[static_cast<std::size_t>(p) * seeds + o]);
+      if (!value)
         throw std::runtime_error("run_adaptive: records of scenario '" + scenario.name +
                                  "' carry no metric '" + spec.metric + "'");
+      sum += *value;
     }
     return sum / seeds;
   };

@@ -57,7 +57,7 @@ struct ExecutionPlan {
   /// concurrently — the sink synchronizes its own output.
   std::function<void(std::uint32_t point, std::uint32_t ordinal,
                      const obs::TraceRing& ring)>
-      trace_sink;
+      trace_sink = {};
   /// Optional sweep telemetry. The in-process thread executor feeds it each
   /// job's executed-event count (for the events/sec rate in --progress and
   /// --stats-json); process/fleet executors ignore it — their experiments

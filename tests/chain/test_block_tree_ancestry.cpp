@@ -145,9 +145,13 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{4000, 37, 64},   // wide recent window
                       Shape{500, 41, 1}),    // near-pure chain
     [](const ::testing::TestParamInfo<Shape>& info) {
-      return "n" + std::to_string(info.param.n) + "_seed" +
-             std::to_string(info.param.seed) + "_bias" +
-             std::to_string(info.param.recent_bias);
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      name += "_seed";
+      name += std::to_string(info.param.seed);
+      name += "_bias";
+      name += std::to_string(info.param.recent_bias);
+      return name;
     });
 
 TEST(AncestryDeepChain, FiftyThousandBlockChain) {

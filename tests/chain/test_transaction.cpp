@@ -83,8 +83,10 @@ TEST(Transaction, PoisonPayloadSerialized) {
   tx.outputs.push_back(TxOutput{5, address_from_tag(9)});
   EXPECT_TRUE(tx.is_poison());
 
+  // A copy differing in one pruned-header byte has a different id.
+  p.pruned_header[3] = 5;
   Transaction tx2 = tx;
-  tx2.poison->pruned_header = {1, 2, 3, 5};
+  tx2.poison = p;
   EXPECT_NE(tx.id(), tx2.id());
 }
 

@@ -54,9 +54,18 @@ TEST(Merkle, LeafChangeChangesRoot) {
 
 class MerkleProofTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
+/// The valid (leaves, index < leaves) pairs of a grid of tree sizes and leaf
+/// positions.
+std::vector<std::tuple<int, int>> proof_shapes() {
+  std::vector<std::tuple<int, int>> shapes;
+  for (const int n : {1, 2, 3, 5, 8, 13, 64})
+    for (const int index : {0, 1, 4, 7, 12, 63})
+      if (index < n) shapes.emplace_back(n, index);
+  return shapes;
+}
+
 TEST_P(MerkleProofTest, ProofVerifiesAtEveryIndex) {
   const auto [n_leaves, index] = GetParam();
-  if (index >= n_leaves) GTEST_SKIP();
   auto leaves = make_leaves(n_leaves);
   auto root = merkle_root(leaves);
   auto proof = merkle_proof(leaves, index);
@@ -64,8 +73,9 @@ TEST_P(MerkleProofTest, ProofVerifiesAtEveryIndex) {
 }
 
 TEST_P(MerkleProofTest, ProofRejectsWrongLeaf) {
+  // A one-leaf tree has an empty proof: the leaf is its own root, and a
+  // wrong leaf must still miss it.
   const auto [n_leaves, index] = GetParam();
-  if (index >= n_leaves || n_leaves < 2) GTEST_SKIP();
   auto leaves = make_leaves(n_leaves);
   auto root = merkle_root(leaves);
   auto proof = merkle_proof(leaves, index);
@@ -74,9 +84,7 @@ TEST_P(MerkleProofTest, ProofRejectsWrongLeaf) {
   EXPECT_NE(merkle_proof_root(wrong, proof), root);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, MerkleProofTest,
-                         ::testing::Combine(::testing::Values(1, 2, 3, 5, 8, 13, 64),
-                                            ::testing::Values(0, 1, 4, 7, 12, 63)));
+INSTANTIATE_TEST_SUITE_P(Shapes, MerkleProofTest, ::testing::ValuesIn(proof_shapes()));
 
 TEST(MerkleProof, DepthIsLogarithmic) {
   auto leaves = make_leaves(64);

@@ -80,6 +80,54 @@ TEST(Adaptive, MatchesDenseOracleWithFewerJobs) {
   }
 }
 
+TEST(Adaptive, RefinesOnAnAttackerReportField) {
+  // A scenario file has no extra hook, so relative_gain is not a record
+  // value: it lives only in each record's attacker report, and the
+  // predicate must read it from there.
+  const Scenario s = load_scenario_string(
+      "name = attack_refine\n"
+      "seed_base = 9700\n"
+      "base.protocol = bitcoin\n"
+      "base.block_interval = 10\n"
+      "base.max_block_size = 4000\n"
+      "base.drain_time = 60\n"
+      "base.adversary = selfish\n"
+      "base.adversary_node = 0\n"
+      "base.adversary_gamma = 0.5\n"
+      "axis.adversary_share = 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45\n"
+      "refine.axis = adversary_share\n"
+      "refine.metric = relative_gain\n"
+      "refine.threshold = 0\n"
+      "refine.coarse = 3\n",
+      "<test>", RunKnobs{10, 400});
+  const AdaptiveResult refined = run_adaptive(s, adaptive_options(2, 2));
+  const AdaptiveResult dense = run_adaptive(s, adaptive_options(2, 2, true));
+
+  for (const PointResult& p : dense.sweep.points)
+    for (const RunRecord& rec : p.seeds) {
+      ASSERT_TRUE(rec.attacker.has_value());
+      for (const auto& [name, value] : rec.values) EXPECT_NE(name, "relative_gain");
+    }
+  EXPECT_LT(refined.jobs_dispatched, dense.jobs_dispatched);
+  EXPECT_EQ(frontier_json(s, refined), frontier_json(s, dense));
+  ASSERT_EQ(refined.frontier.size(), 1u);
+  const FrontierRow& row = refined.frontier[0];
+  ASSERT_TRUE(row.found);
+  EXPECT_LE(row.lo_value, 0.0);
+  EXPECT_GT(row.hi_value, 0.0);
+  // The bracket's values are the seed means of the attacker reports' gains.
+  int bracket_points = 0;
+  for (const PointResult& p : dense.sweep.points) {
+    if (p.x != row.lo_x && p.x != row.hi_x) continue;
+    double sum = 0;
+    for (const RunRecord& rec : p.seeds) sum += rec.attacker->relative_gain;
+    EXPECT_EQ(sum / static_cast<double>(p.seeds.size()),
+              p.x == row.lo_x ? row.lo_value : row.hi_value);
+    ++bracket_points;
+  }
+  EXPECT_EQ(bracket_points, 2);
+}
+
 TEST(Adaptive, EveryGroupGetsItsOwnFrontierRow) {
   // A second (non-refine) axis splits the grid into groups; each gets an
   // independent bisection and its own frontier row, in dense group order.
